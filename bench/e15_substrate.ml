@@ -8,8 +8,8 @@
      view). The CSR side pays one [freeze] per graph, amortised over the
      sweep — the serving pattern (one topology, many queries).
    + One cancellation round's residual machinery, old shape vs new:
-     Residual.build + product-graph construction per round, against
-     Residual.of_arena (mask refill) + a reused prepared searcher.
+     Residual.build per round, against Residual.of_arena (mask refill);
+     both rounds run the same cycle search over the result.
    + Full Algorithm 1 solves with the per-phase attribution histograms
      Krsp.metrics records (residual build vs cycle search vs augmentation).
 
@@ -144,7 +144,7 @@ let round_bench table name t ~rounds =
       cost_cap = guess;
     }
   in
-  (* old shape: a fresh residual graph and a fresh product graph per round *)
+  (* old shape: a fresh residual graph per round *)
   let rebuilt = ref None in
   let (), rebuild_ms =
     Timer.time_ms (fun () ->
@@ -153,18 +153,17 @@ let round_bench table name t ~rounds =
           rebuilt := Dp.find res ~ctx ~bound ()
         done)
   in
-  (* new shape: one arena + one searcher, O(m) mask refill per round *)
+  (* new shape: one arena, O(m) mask refill per round *)
   let arena = Residual.arena g in
-  let searcher = Dp.prepare (Residual.of_arena arena ~paths) ~bound in
   let reused = ref None in
   let (), arena_ms =
     Timer.time_ms (fun () ->
         for _ = 1 to rounds do
           let res = Residual.of_arena arena ~paths in
-          reused := Dp.find res ~ctx ~bound ~searcher ()
+          reused := Dp.find res ~ctx ~bound ()
         done)
   in
-  (* both engines must agree on what the round produces *)
+  (* both residuals must yield the same cycle *)
   let sig_of = function
     | None -> (max_int, max_int)
     | Some c -> (c.Dp.cost, c.Dp.delay)

@@ -1,99 +1,167 @@
 module G = Krsp_graph.Digraph
-module BF = Krsp_graph.Bellman_ford
 module Walk = Krsp_graph.Walk
 
 type candidate = { edges : G.edge list; cost : int; delay : int; kind : Bicameral.kind }
 
-(* The product (state) graph: vertex (u, c) for residual vertex u and
-   accumulated cost c in [-B, B]; its edge "cost" field carries the residual
-   *delay* (the quantity Bellman-Ford minimises), and [pmap] maps each state
-   edge back to its residual edge.
-
-   The state graph depends only on the residual graph's {e structure and
-   weights}, not on which residual edges are active this round — so over an
-   arena-backed residual (static doubled graph) it can be built and frozen
-   once and reused across every cancellation round of a guess, with the
-   current round's inactive residual edges compacted away by a restricted
-   view. That reusable product covers {e all} arena edges and so costs
-   double the active set to build; a one-shot search (the common case — most
-   guesses settle within a round or two) is better served by an ephemeral
-   product over the {e currently active} edges only, which is what [find]
-   builds when no searcher is supplied. *)
-type searcher = {
-  s_graph : G.t; (* the product graph, frozen *)
-  s_pmap : int array; (* product edge -> residual edge *)
-  s_bound : int;
-  s_res : G.t; (* the residual graph the product was built over *)
-  s_generation : int; (* s_res's adjacency generation at build time *)
-  s_masked : bool; (* product contains edges inactive at build time *)
+(* The state space, never materialised: state [s = u·W + c + B] is residual
+   vertex [u] at accumulated cost [c ∈ [-B, B]], [W = 2B + 1] — Lemma 15's
+   [H_v^+(B)] and [H_v^-(B)] copies glued into one index range. Its arcs are
+   implicit: an active residual edge [e = (u, w)] of cost [ce] leads from
+   [(u, c)] to [(w, c + ce)] whenever that stays inside the window, weighted
+   by the residual delay (the quantity the searches minimise). A search needs
+   only the active edges grouped by source, in ascending edge id per row
+   (the residual CSR order); [space] compacts them once per call in
+   O(n + m), and every Bellman–Ford run of the call shares it read-only. *)
+type space = {
+  rg : G.t; (* the residual graph, to walk [parent] chains back *)
+  bound : int;
+  w : int; (* 2·bound + 1 *)
+  row : int array; (* vertex -> first position of its out-edges; n + 1 entries *)
+  e_id : int array; (* position -> residual edge id *)
+  e_dst : int array;
+  e_cost : int array;
+  e_delay : int array;
 }
 
-let prepare_product ~skip_inactive res ~bound =
-  if bound < 1 then invalid_arg "Cycle_search_dp.prepare: bound must be >= 1";
-  let rg = res.Residual.graph in
+let space res ~bound =
+  let rg = res.Residual.graph and active = res.Residual.active in
   let n = G.n rg in
-  let width = (2 * bound) + 1 in
-  let idx u c = (u * width) + (c + bound) in
-  let p = G.create ~expected_edges:(G.m rg * width) ~n:(n * width) () in
-  let pmap = ref [] in
-  let masked = ref false in
+  let row = Array.make (n + 1) 0 in
   G.iter_edges rg (fun e ->
-      if not res.Residual.active.(e) && skip_inactive then ()
-      else begin
-        if not res.Residual.active.(e) then masked := true;
-        let u = G.src rg e and w = G.dst rg e in
-        let c = G.cost rg e and d = G.delay rg e in
-        let lo = max (-bound) (-bound - c) and hi = min bound (bound - c) in
-        for i = lo to hi do
-          ignore (G.add_edge p ~src:(idx u i) ~dst:(idx w (i + c)) ~cost:d ~delay:0);
-          pmap := e :: !pmap
-        done
+      if active.(e) then begin
+        let u = G.src rg e in
+        row.(u + 1) <- row.(u + 1) + 1
       end);
-  ignore (G.freeze p);
-  {
-    s_graph = p;
-    s_pmap = Array.of_list (List.rev !pmap);
-    s_bound = bound;
-    s_res = rg;
-    s_generation = G.generation rg;
-    s_masked = !masked;
-  }
+  for u = 1 to n do
+    row.(u) <- row.(u) + row.(u - 1)
+  done;
+  let m = row.(n) in
+  let e_id = Array.make m 0 and e_dst = Array.make m 0 in
+  let e_cost = Array.make m 0 and e_delay = Array.make m 0 in
+  let next = Array.sub row 0 n in
+  G.iter_edges rg (fun e ->
+      if active.(e) then begin
+        let u = G.src rg e in
+        let p = next.(u) in
+        next.(u) <- p + 1;
+        e_id.(p) <- e;
+        e_dst.(p) <- G.dst rg e;
+        e_cost.(p) <- G.cost rg e;
+        e_delay.(p) <- G.delay rg e
+      end);
+  { rg; bound; w = (2 * bound) + 1; row; e_id; e_dst; e_cost; e_delay }
 
-let prepare res ~bound = prepare_product ~skip_inactive:false res ~bound
+let n_states sp = G.n sp.rg * sp.w
 
-let idx_of s u c = (u * ((2 * s.s_bound) + 1)) + (c + s.s_bound)
+let state sp u c = (u * sp.w) + c + sp.bound
 
-(* a searcher is reusable for [res] iff it was built over the very same
-   residual graph value (arena reuse hands out the same doubled graph every
-   round), unmutated since, at the same bound *)
-let compatible s res ~bound =
-  s.s_bound = bound
-  && s.s_res == res.Residual.graph
-  && s.s_generation = G.generation s.s_res
+(* the state [e] was relaxed from into state [s] *)
+let pred sp s e = (G.src sp.rg e * sp.w) + (s mod sp.w) - G.cost sp.rg e
 
-let searcher_for ?searcher res ~bound =
-  match searcher with
-  | Some s when compatible s res ~bound -> s
-  | Some _ -> invalid_arg "Cycle_search_dp: searcher does not match residual/bound"
-  | None ->
-    (* one-shot: only active edges enter the product, no masking needed and
-       the build costs the same as a residual freshly materialised by
-       [Residual.build] — reusable searchers pay double for reusability *)
-    prepare_product ~skip_inactive:true res ~bound
+(* After N hops back along [parent] from a state downstream of a negative
+   cycle we are inside it; collect its residual edges until the start state
+   repeats. *)
+let extract_cycle sp parent start =
+  let s = ref start in
+  for _ = 1 to Array.length parent do
+    s := pred sp !s parent.(!s)
+  done;
+  let cycle_start = !s in
+  let rec collect acc s =
+    let e = parent.(s) in
+    let u = pred sp s e in
+    if u = cycle_start then e :: acc else collect (e :: acc) u
+  in
+  collect [] cycle_start
 
-(* mask: a product edge is traversable iff its residual edge is active.
-   Rather than a [disabled] predicate paid per edge scan per Bellman–Ford
-   pass, compact the mask into a sub-view once per round — the searches
-   then never touch a masked edge, so an arena-backed round traverses the
-   same edge count a freshly built residual would. Products that contain
-   no inactive edges skip even that compaction pass. *)
-let masked_view s res =
-  if not s.s_masked then G.freeze s.s_graph
-  else begin
-    let pmap = s.s_pmap and active = res.Residual.active in
-    G.View.restrict (G.freeze s.s_graph) ~keep:(fun pe ->
-        Array.unsafe_get active (Array.unsafe_get pmap pe))
-  end
+(* SPFA (queue-based Bellman–Ford) over the states, from every state whose
+   [dist] is finite, minimising delay in place. It takes the same steps as
+   [Krsp_graph.Bellman_ford] would on the materialised state graph — FIFO
+   seeded in state order, out-arcs in ascending residual edge id, a state
+   entering the queue more than N + 1 times lies downstream of a negative
+   cycle — so labels, parents and extracted cycles are the same. [Ok parent]
+   maps each reached state to the residual edge it was last relaxed along
+   ([-1] for a seed); [Error cycle] is a negative-delay closed walk of
+   residual edges. Allocates its own scratch: concurrent runs over one
+   [space] are safe. *)
+let spfa sp dist =
+  let ns = Array.length dist in
+  let w = sp.w and row = sp.row and e_id = sp.e_id in
+  let e_dst = sp.e_dst and e_cost = sp.e_cost and e_delay = sp.e_delay in
+  let parent = Array.make ns (-1) in
+  let enqueues = Array.make ns 0 in
+  let in_queue = Bytes.make ns '\000' in
+  (* ring-buffer FIFO: a state is queued at most once at a time *)
+  let queue = Array.make ns 0 in
+  let head = ref 0 and len = ref 0 in
+  let push s =
+    let tail = !head + !len in
+    queue.(if tail >= ns then tail - ns else tail) <- s;
+    incr len;
+    Bytes.set in_queue s '\001';
+    enqueues.(s) <- enqueues.(s) + 1
+  in
+  for s = 0 to ns - 1 do
+    if dist.(s) <> max_int then push s
+  done;
+  let cycle = ref (-1) in
+  (try
+     while !len > 0 do
+       let s = queue.(!head) in
+       head := if !head + 1 = ns then 0 else !head + 1;
+       decr len;
+       Bytes.set in_queue s '\000';
+       let ds = dist.(s) and u = s / w in
+       let cs = s - (u * w) in
+       for p = row.(u) to row.(u + 1) - 1 do
+         let c = cs + e_cost.(p) in
+         if c >= 0 && c < w then begin
+           let t = (e_dst.(p) * w) + c in
+           let nd = ds + e_delay.(p) in
+           if nd < dist.(t) then begin
+             dist.(t) <- nd;
+             parent.(t) <- e_id.(p);
+             if Bytes.get in_queue t = '\000' then begin
+               if enqueues.(t) > ns then begin
+                 cycle := t;
+                 raise Exit
+               end;
+               push t
+             end
+           end
+         end
+       done
+     done
+   with Exit -> ());
+  if !cycle >= 0 then Error (extract_cycle sp parent !cycle) else Ok parent
+
+(* A negative-delay cycle anywhere in the state space: SPFA from a virtual
+   super-source (every state starts at delay 0). *)
+let negative_cycle sp =
+  match spfa sp (Array.make (n_states sp) 0) with
+  | Ok _ -> None
+  | Error walk -> Some walk
+
+(* Min-delay walks from [(root, 0)] to every reachable [(root, c)], [c ≠ 0],
+   folded for [c] ascending; nothing when the run meets a negative cycle
+   (phase A's business). *)
+let fold_walks sp root ~init ~f =
+  let dist = Array.make (n_states sp) max_int in
+  let s0 = state sp root 0 in
+  dist.(s0) <- 0;
+  match spfa sp dist with
+  | Error _ -> init
+  | Ok parent ->
+    let rec collect acc s =
+      let e = parent.(s) in
+      if e = -1 then acc else collect (e :: acc) (pred sp s e)
+    in
+    let acc = ref init in
+    for c = -sp.bound to sp.bound do
+      let s = s0 + c in
+      if c <> 0 && dist.(s) <> max_int then acc := f !acc (collect [] s)
+    done;
+    !acc
 
 let roots res =
   let rg = res.Residual.graph in
@@ -130,34 +198,17 @@ let better ctx a b =
       Some ca
     else Some cb
 
-(* Phase A: any negative-delay cycle of the state graph projects to residual
+(* Phase A: any negative-delay cycle of the state space projects to residual
    cycles of total cost 0 and total delay < 0, at least one piece of which is
    itself negative-delay. *)
-let phase_a res ctx s rv =
-  let p = s.s_graph in
-  match BF.negative_cycle p ~weight:(G.cost p) ~view:rv () with
+let phase_a res ctx sp =
+  match negative_cycle sp with
   | None -> []
-  | Some pcycle -> candidates_of_walk res ctx (List.map (fun pe -> s.s_pmap.(pe)) pcycle)
+  | Some walk -> candidates_of_walk res ctx walk
 
 (* Phase B for one root: min-delay walks from (root, 0) to every (root, c). *)
-let phase_b res ctx s rv root =
-  let p = s.s_graph and bound = s.s_bound in
-  match BF.run p ~weight:(G.cost p) ~view:rv ~src:(idx_of s root 0) () with
-  | BF.Negative_cycle _ -> [] (* handled by phase A *)
-  | BF.Dist { dist; parent } ->
-    let out = ref [] in
-    for c = -bound to bound do
-      if c <> 0 && dist.(idx_of s root c) <> max_int then begin
-        (* reconstruct the state path and project to residual edges *)
-        let rec collect acc v =
-          let e = parent.(v) in
-          if e = -1 then acc else collect (s.s_pmap.(e) :: acc) (G.src p e)
-        in
-        let walk = collect [] (idx_of s root c) in
-        out := candidates_of_walk res ctx walk @ !out
-      end
-    done;
-    !out
+let phase_b res ctx sp root =
+  fold_walks sp root ~init:[] ~f:(fun acc walk -> candidates_of_walk res ctx walk @ acc)
 
 (* When stopping early, keep scanning roots until a delay-reducing candidate
    (type-0/1) shows up — settling for the first type-2 can stall Algorithm 1
@@ -165,11 +216,10 @@ let phase_b res ctx s rv root =
 let delay_reducing found =
   List.exists (fun c -> c.kind <> Bicameral.Type2) found
 
-let search ?pool ?searcher res ~ctx ~bound ~stop_early =
+let search ?pool res ~ctx ~bound ~stop_early =
   assert (bound >= 1);
-  let s = searcher_for ?searcher res ~bound in
-  let rv = masked_view s res in
-  let a = phase_a res ctx s rv in
+  let sp = space res ~bound in
+  let a = phase_a res ctx sp in
   let all = ref a in
   if stop_early && delay_reducing a then !all
   else begin
@@ -181,16 +231,15 @@ let search ?pool ?searcher res ~ctx ~bound ~stop_early =
     in
     if parallel then begin
       (* Speculative fan-out in waves: a wave of roots runs its phase-B
-         searches concurrently (each Bellman–Ford allocates its own
-         dist/parent scratch; the product graph, its masked view and the
-         residual are shared strictly read-only), then the serial scan's
-         early-stop is re-applied to the wave's results as a prefix rule —
-         accumulate roots in id order up to and including the first
-         delay-reducing one — so the candidate list, and hence the cycle
-         [find] picks, is bit-identical to the serial scan's. Waves bound
-         the speculation: at most [wave - 1] roots past the serial stop
-         point are wasted work traded for wall-clock, the same bargain the
-         guess speculation makes. *)
+         searches concurrently (each SPFA allocates its own scratch; the
+         compacted space and the residual are shared strictly read-only),
+         then the serial scan's early-stop is re-applied to the wave's
+         results as a prefix rule — accumulate roots in id order up to and
+         including the first delay-reducing one — so the candidate list,
+         and hence the cycle [find] picks, is bit-identical to the serial
+         scan's. Waves bound the speculation: at most [wave - 1] roots past
+         the serial stop point are wasted work traded for wall-clock, the
+         same bargain the guess speculation makes. *)
       let p = Option.get pool in
       let arr = Array.of_list rts in
       let wave = if stop_early then 2 * Krsp_util.Pool.width p else Array.length arr in
@@ -200,7 +249,7 @@ let search ?pool ?searcher res ~ctx ~bound ~stop_early =
         let len = min wave (Array.length arr - !lo) in
         let per_root =
           Krsp_util.Pool.parallel_map ~chunk:1 p
-            (fun root -> phase_b res ctx s rv root)
+            (fun root -> phase_b res ctx sp root)
             (Array.sub arr !lo len)
         in
         (try
@@ -218,7 +267,7 @@ let search ?pool ?searcher res ~ctx ~bound ~stop_early =
       let rec scan = function
         | [] -> ()
         | root :: rest ->
-          let found = phase_b res ctx s rv root in
+          let found = phase_b res ctx sp root in
           all := found @ !all;
           if stop_early && delay_reducing found then () else scan rest
       in
@@ -227,39 +276,24 @@ let search ?pool ?searcher res ~ctx ~bound ~stop_early =
     end
   end
 
-let find res ~ctx ~bound ?(exhaustive = false) ?searcher ?pool () =
-  let cands = search ?pool ?searcher res ~ctx ~bound ~stop_early:(not exhaustive) in
+let find res ~ctx ~bound ?(exhaustive = false) ?pool () =
+  let cands = search ?pool res ~ctx ~bound ~stop_early:(not exhaustive) in
   List.fold_left (fun best c -> better ctx best (Some c)) None cands
 
 let enumerate ?pool res ~ctx ~bound = search ?pool res ~ctx ~bound ~stop_early:false
 
 let enumerate_raw res ~bound =
   assert (bound >= 1);
-  let s = prepare res ~bound in
-  let rv = masked_view s res in
-  let p = s.s_graph in
+  let sp = space res ~bound in
   let all = ref [] in
   let push cyc =
     all := (cyc, Residual.cycle_cost res cyc, Residual.cycle_delay res cyc) :: !all
   in
-  (match BF.negative_cycle p ~weight:(G.cost p) ~view:rv () with
-  | Some pcycle ->
-    List.iter push (cycles_of_walk res (List.map (fun pe -> s.s_pmap.(pe)) pcycle))
+  let push_walk walk = List.iter push (cycles_of_walk res walk) in
+  (match negative_cycle sp with
+  | Some walk -> push_walk walk
   | None ->
     List.iter
-      (fun root ->
-        match BF.run p ~weight:(G.cost p) ~view:rv ~src:(idx_of s root 0) () with
-        | BF.Negative_cycle _ -> ()
-        | BF.Dist { dist; parent } ->
-          for c = -s.s_bound to s.s_bound do
-            if c <> 0 && dist.(idx_of s root c) <> max_int then begin
-              let rec collect acc v =
-                let e = parent.(v) in
-                if e = -1 then acc else collect (s.s_pmap.(e) :: acc) (G.src p e)
-              in
-              let walk = collect [] (idx_of s root c) in
-              List.iter push (cycles_of_walk res walk)
-            end
-          done)
+      (fun root -> fold_walks sp root ~init:() ~f:(fun () walk -> push_walk walk))
       (roots res));
   !all

@@ -73,8 +73,8 @@ val improve :
     delay made no progress for [stall_limit] iterations (default 40).
 
     Each round's residual comes from an {!Residual.arena} over the instance
-    graph — an O(m) mask refill instead of a graph build — and the DP
-    engine's product graph is prepared once and reused across all rounds.
+    graph — an O(m) mask refill instead of a graph build; the DP engine
+    searches its state space implicitly over that residual.
     [arena] lets callers running several [improve]s over one instance
     (e.g. {!solve}'s guess search) share the doubled graph too; it must
     have been created by [Residual.arena] on this instance's graph.

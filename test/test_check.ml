@@ -229,11 +229,13 @@ let test_corpus_malformed () =
 
 (* every committed corpus instance must solve-and-certify (or verifiably
    refuse) — this is the regression replay for shrunk fuzz repros *)
+(* the sandboxed runtest cwd holds `corpus` directly; a `dune exec
+   test/test_main.exe` from the repo root sees it under test/ *)
+let corpus_dir () =
+  if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus"
+
 let test_corpus_replay () =
-  (* the sandboxed runtest cwd holds `corpus` directly; a `dune exec
-     test/test_main.exe` from the repo root sees it under test/ *)
-  let dir = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus" in
-  let entries = Corpus.load_dir dir in
+  let entries = Corpus.load_dir (corpus_dir ()) in
   Alcotest.(check bool) "corpus present" true (List.length entries >= 3);
   List.iter
     (fun (name, t) ->
@@ -310,7 +312,7 @@ let test_churn_differential_diamond () =
 (* every committed .churn trace must replay with zero incremental-vs-refreeze
    disagreements — the regression replay for shrunk churn repros *)
 let test_churn_corpus_replay () =
-  let dir = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus" in
+  let dir = corpus_dir () in
   let entries = Corpus.load_churn_dir dir in
   Alcotest.(check bool) "churn corpus present" true (List.length entries >= 2);
   List.iter
@@ -363,6 +365,37 @@ let metamorphic_prop =
       match Differential.metamorphic t with
       | [] -> true
       | ms -> QCheck2.Test.fail_report (String.concat "\n" ms))
+
+(* --- cost magnitude ------------------------------------------------------------ *)
+
+(* Waxman n=24 (seed 7, m=146), s=0, t=19, k=2, D=37 with every cost ×100:
+   combinatorially the ×1 instance, but its cost window is 100× wider.
+   The bicameral search's memory grows with n·W, not m·W, so it must
+   still solve — to the very same paths — and certify. *)
+let test_cost_magnitude_probe () =
+  let g =
+    Krsp_gen.Topology.waxman (X.create ~seed:7) ~n:24 ~alpha:0.9 ~beta:0.3
+      Krsp_gen.Topology.default_weights
+  in
+  Alcotest.(check int) "probe graph m" 146 (G.m g);
+  let t = Instance.create g ~src:0 ~dst:19 ~k:2 ~delay_bound:37 in
+  let wide = (Transform.cost_scale ~factor:100 t).Transform.instance in
+  let sol = solved t and sol' = solved wide in
+  let cert = Check.certify ~level:Check.Full wide sol' in
+  if not (Check.ok cert) then Alcotest.fail (Check.to_string cert);
+  Alcotest.(check (list (list int))) "same paths as ×1" sol.Instance.paths sol'.Instance.paths;
+  Alcotest.(check int) "cost ×100" (100 * sol.Instance.cost) sol'.Instance.cost
+
+(* the ×100 cost-scale relation on the committed fuzz corpus *)
+let test_cost_magnitude_corpus () =
+  List.iter
+    (fun (name, t) ->
+      match
+        Differential.metamorphic ~transforms:[ Transform.cost_scale ~factor:100 t ] t
+      with
+      | [] -> ()
+      | ms -> Alcotest.fail (Printf.sprintf "%s: %s" name (String.concat "; " ms)))
+    (Corpus.load_dir (corpus_dir ()))
 
 (* --- differential: engines, widths, warm/cold -------------------------------- *)
 
@@ -499,7 +532,7 @@ let test_figure1_cost_cap () =
         true
         (Bicameral.classify (ctx (-c)) ~cost:c ~delay:d = Some Bicameral.Type2))
     over_cap;
-  (* the searcher itself respects the cap: no enumerated candidate under the
+  (* the DP search itself respects the cap: no enumerated candidate under the
      capped context exceeds it, even with a wide cost window *)
   List.iter
     (fun cand ->
@@ -655,6 +688,11 @@ let suites =
       [ Alcotest.test_case "transform shapes" `Quick test_transform_shapes;
         Alcotest.test_case "map back on the diamond" `Quick test_transform_map_back;
         metamorphic_prop
+      ] );
+    ( "check.magnitude",
+      [ Alcotest.test_case "cost x100 probe: same paths, certified" `Quick
+          test_cost_magnitude_probe;
+        Alcotest.test_case "cost x100 metamorphic on corpus" `Quick test_cost_magnitude_corpus
       ] );
     ( "check.differential",
       [ Alcotest.test_case "200 instances: dp=lp, width 1=4" `Quick test_differential_batch;

@@ -6,6 +6,7 @@
 
 module G = Krsp_graph.Digraph
 module Path = Krsp_graph.Path
+module BF = Krsp_graph.Bellman_ford
 module X = Krsp_util.Xoshiro
 module Instance = Krsp_core.Instance
 module Residual = Krsp_core.Residual
@@ -169,27 +170,137 @@ let arena_matches_build_prop =
              in
              let sig_of = function None -> None | Some c -> Some (c.Dp.cost, c.Dp.delay) in
              let from_build = Dp.find res_b ~ctx ~bound ~exhaustive:true () in
-             let searcher = Dp.prepare res_a ~bound in
-             let from_arena = Dp.find res_a ~ctx ~bound ~exhaustive:true ~searcher () in
+             let from_arena = Dp.find res_a ~ctx ~bound ~exhaustive:true () in
              !ok && sig_of from_build = sig_of from_arena)))
 
-let test_searcher_mismatch_rejected () =
-  let t = diamond_instance ~delay_bound:30 ~k:2 in
-  let g = t.Instance.graph in
-  let paths = [ [ 0; 1 ] ] in
-  let res = Residual.of_arena (Residual.arena g) ~paths in
-  let searcher = Dp.prepare res ~bound:5 in
-  let ctx = { Bicameral.delta_d = 0; delta_c = 0; cost_cap = 5 } in
-  let mismatch = Invalid_argument "Cycle_search_dp: searcher does not match residual/bound" in
-  (* a searcher is tied to one residual graph value at one bound *)
-  Alcotest.check_raises "foreign residual" mismatch (fun () ->
-      ignore (Dp.find (Residual.build g ~paths) ~ctx ~bound:5 ~searcher ()));
-  Alcotest.check_raises "different bound" mismatch (fun () ->
-      ignore (Dp.find res ~ctx ~bound:6 ~searcher ()));
-  (* mutating the residual graph invalidates it too (generation check) *)
-  ignore (G.add_vertex res.Residual.graph);
-  Alcotest.check_raises "mutated residual" mismatch (fun () ->
-      ignore (Dp.find res ~ctx ~bound:5 ~searcher ()))
+(* Test-only reference for the implicit state-space search: materialise the
+   (residual vertex, cost ∈ [-B, B]) product as a real graph over the
+   active residual edges — state (u, c) is vertex u·W + c + B, a product
+   edge's cost field carries the residual delay — and run the library
+   Bellman–Ford over it, with the same phase A / phase B / early-stop scan
+   the engine specifies. *)
+let reference_search res ~ctx ~bound ~stop_early =
+  let rg = res.Residual.graph in
+  let w = (2 * bound) + 1 in
+  let idx u c = (u * w) + c + bound in
+  let p = G.create ~n:(G.n rg * w) () in
+  let pmap = ref [] in
+  G.iter_edges rg (fun e ->
+      if Residual.active res e then begin
+        let c = G.cost rg e in
+        for i = max (-bound) (-bound - c) to min bound (bound - c) do
+          ignore
+            (G.add_edge p ~src:(idx (G.src rg e) i) ~dst:(idx (G.dst rg e) (i + c))
+               ~cost:(G.delay rg e) ~delay:0);
+          pmap := e :: !pmap
+        done
+      end);
+  let pmap = Array.of_list (List.rev !pmap) in
+  let candidates walk =
+    List.filter_map
+      (fun cyc ->
+        let cost = Residual.cycle_cost res cyc and delay = Residual.cycle_delay res cyc in
+        Option.map
+          (fun kind -> { Dp.edges = cyc; cost; delay; kind })
+          (Bicameral.classify ctx ~cost ~delay))
+      (Krsp_graph.Walk.decompose_cycles rg walk)
+  in
+  let phase_a =
+    match BF.negative_cycle p ~weight:(G.cost p) () with
+    | None -> []
+    | Some pcycle -> candidates (List.map (fun pe -> pmap.(pe)) pcycle)
+  in
+  let phase_b root =
+    match BF.run p ~weight:(G.cost p) ~src:(idx root 0) () with
+    | BF.Negative_cycle _ -> []
+    | BF.Dist { dist; parent } ->
+      let out = ref [] in
+      for c = -bound to bound do
+        if c <> 0 && dist.(idx root c) <> max_int then begin
+          let rec collect acc v =
+            let e = parent.(v) in
+            if e = -1 then acc else collect (pmap.(e) :: acc) (G.src p e)
+          in
+          out := candidates (collect [] (idx root c)) @ !out
+        end
+      done;
+      !out
+  in
+  let roots =
+    List.sort_uniq compare
+      (G.fold_edges rg ~init:[] ~f:(fun acc e ->
+           if res.Residual.is_reversed.(e) && Residual.active res e then
+             G.src rg e :: G.dst rg e :: acc
+           else acc))
+  in
+  let delay_reducing = List.exists (fun c -> c.Dp.kind <> Bicameral.Type2) in
+  let rec scan all = function
+    | [] -> all
+    | root :: rest ->
+      let found = phase_b root in
+      if stop_early && delay_reducing found then found @ all else scan (found @ all) rest
+  in
+  if stop_early && delay_reducing phase_a then phase_a else scan phase_a roots
+
+(* The implicit search must return exactly what Bellman–Ford over the
+   materialised product returns — same candidates, same order — on arena
+   residuals, whose inactive copies (reversed copies of unused edges among
+   them) must stay invisible. The start paths are optimal for random
+   weights, so the residual carries negative-cost and negative-delay
+   cycles of every kind. *)
+let dp_matches_product_reference_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"implicit dp search = materialised product reference" ~count:60
+       QCheck2.Gen.int
+       (fun seed ->
+         let rng = X.create ~seed in
+         let n = 4 + X.int rng 4 in
+         let k = 1 + X.int rng 2 in
+         match random_feasible_instance rng ~n ~k with
+         | None -> true
+         | Some t -> (
+           let g = t.Instance.graph in
+           let shuffled, _ =
+             G.filter_map_edges g ~f:(fun _ -> Some (X.int_in rng 0 6, X.int_in rng 0 6))
+           in
+           match Phase1.min_sum { t with Instance.graph = shuffled } with
+           | Phase1.No_k_paths | Phase1.Lp_infeasible -> true
+           | Phase1.Start s ->
+             let paths = s.Phase1.paths in
+             let res = Residual.of_arena (Residual.arena g) ~paths in
+             let rg = res.Residual.graph in
+             let inactive_reversed =
+               G.fold_edges rg ~init:false ~f:(fun acc e ->
+                   acc || (res.Residual.is_reversed.(e) && not (Residual.active res e)))
+             in
+             QCheck2.assume inactive_reversed;
+             let sol = Instance.solution_of_paths t paths in
+             List.for_all
+               (fun bound ->
+                 let ctx =
+                   {
+                     Bicameral.delta_d = t.Instance.delay_bound - sol.Instance.delay;
+                     delta_c = bound - sol.Instance.cost;
+                     cost_cap = bound;
+                   }
+                 in
+                 let best =
+                   List.fold_left
+                     (fun acc c ->
+                       match acc with
+                       | Some b
+                         when Bicameral.compare_candidates ctx (b.Dp.cost, b.Dp.delay)
+                                (c.Dp.cost, c.Dp.delay)
+                              <= 0 ->
+                         acc
+                       | _ -> Some c)
+                     None
+                 in
+                 Dp.enumerate res ~ctx ~bound
+                 = reference_search res ~ctx ~bound ~stop_early:false
+                 && Dp.find res ~ctx ~bound ()
+                    = best (reference_search res ~ctx ~bound ~stop_early:true))
+               [ 1; 2; 5; 13 ])))
 
 (* Proposition 7 as a property: applying any simple residual cycle to k
    disjoint paths yields k disjoint paths whose cost/delay shift by exactly
@@ -773,7 +884,6 @@ let suites =
     ( "residual",
       [ Alcotest.test_case "structure" `Quick test_residual_structure;
         Alcotest.test_case "rejects shared paths" `Quick test_residual_rejects_shared;
-        Alcotest.test_case "searcher mismatch rejected" `Quick test_searcher_mismatch_rejected;
         arena_matches_build_prop;
         oplus_prop;
         lemma9_prop
@@ -790,7 +900,7 @@ let suites =
         Alcotest.test_case "counts" `Quick test_layered_counts;
         layered_projection_prop
       ] );
-    ("engines", [ engines_agree_prop ]);
+    ("engines", [ engines_agree_prop; dp_matches_product_reference_prop ]);
     ( "krsp",
       [ Alcotest.test_case "diamond tight" `Quick test_krsp_diamond_tight;
         Alcotest.test_case "diamond loose" `Quick test_krsp_diamond_loose;
