@@ -11,7 +11,8 @@
      Residual.build per round, against Residual.of_arena (mask refill);
      both rounds run the same cycle search over the result.
    + Full Algorithm 1 solves with the per-phase attribution histograms
-     Krsp.metrics records (residual build vs cycle search vs augmentation).
+     Krsp.metrics records (residual build vs cycle search vs augmentation),
+     and the cycle search's deterministic work counters.
 
    KRSP_BENCH_SMOKE=1 shrinks every size for the CI smoke job. *)
 
@@ -283,5 +284,9 @@ let run () =
     (Printf.sprintf "waxman n=%d k=3" n_solve)
     (sample_instances ~seed:153 ~count (waxman_instance ~n:n_solve ~k:3 ~tightness:0.5));
   Table.print t3;
+  let value name = Metrics.value (Metrics.counter Krsp.metrics name) in
+  let scans = value "search.scans" and states = value "search.states" in
+  note "\nDP cycle search work (deterministic): %d states scanned over %d searched (%.2f per state)\n"
+    scans states (ratio (float_of_int scans) (float_of_int states));
   note "\nsolver phase attribution (process-wide histograms, ms):\n%s"
     (Metrics.dump Krsp.metrics)

@@ -58,100 +58,164 @@ let state sp u c = (u * sp.w) + c + sp.bound
 (* the state [e] was relaxed from into state [s] *)
 let pred sp s e = (G.src sp.rg e * sp.w) + (s mod sp.w) - G.cost sp.rg e
 
-(* After N hops back along [parent] from a state downstream of a negative
-   cycle we are inside it; collect its residual edges until the start state
-   repeats. *)
-let extract_cycle sp parent start =
-  let s = ref start in
-  for _ = 1 to Array.length parent do
-    s := pred sp !s parent.(!s)
-  done;
-  let cycle_start = !s in
-  let rec collect acc s =
-    let e = parent.(s) in
-    let u = pred sp s e in
-    if u = cycle_start then e :: acc else collect (e :: acc) u
-  in
-  collect [] cycle_start
+(* Work counters, the same on every host (at widths above 1 they include
+   speculative searches): states scanned (popped while in the tree) and
+   states searched (n·W per run). Each run counts locally and adds once
+   at its end. [Krsp.metrics] is this registry. *)
+let metrics = Krsp_util.Metrics.create ()
+let c_scans = Krsp_util.Metrics.counter metrics "search.scans"
+let c_states = Krsp_util.Metrics.counter metrics "search.states"
 
-(* SPFA (queue-based Bellman–Ford) over the states, from every state whose
-   [dist] is finite, minimising delay in place. It takes the same steps as
-   [Krsp_graph.Bellman_ford] would on the materialised state graph — FIFO
-   seeded in state order, out-arcs in ascending residual edge id, a state
-   entering the queue more than N + 1 times lies downstream of a negative
-   cycle — so labels, parents and extracted cycles are the same. [Ok parent]
-   maps each reached state to the residual edge it was last relaxed along
-   ([-1] for a seed); [Error cycle] is a negative-delay closed walk of
-   residual edges. Allocates its own scratch: concurrent runs over one
-   [space] are safe. *)
-let spfa sp dist =
-  let ns = Array.length dist in
+(* Per-domain scratch, grown to exactly n·W + 1 entries (the last one is
+   the virtual tree root) and reused across runs; [scratch] resets what a
+   run reads with [fill]. Sound because a run never calls the pool between
+   its start and the end of its [fold_walks]: a domain takes up another
+   pool task only between runs, so no two runs on one domain interleave.
+   The scratch stays at the domain's high-water mark; dropping it after
+   each run made the ×1000 cost-magnitude probe slower and doubled its
+   peak RSS. *)
+type scratch = {
+  dist : int array;
+  parent : int array; (* residual edge id into the state; -1 at a seed *)
+  next : int array; (* preorder successor in the parent tree *)
+  prev : int array;
+  depth : int array; (* tree depth; -1 outside the tree *)
+  queue : int array; (* FIFO ring, a state queued at most once *)
+  queued : Bytes.t;
+}
+
+let alloc len =
+  { dist = Array.make len 0; parent = Array.make len 0; next = Array.make len 0;
+    prev = Array.make len 0; depth = Array.make len 0; queue = Array.make len 0;
+    queued = Bytes.make len '\000' }
+
+let scratch_key = Domain.DLS.new_key (fun () -> alloc 0)
+
+let scratch sp ~init =
+  let ns = n_states sp in
+  let sc =
+    let held = Domain.DLS.get scratch_key in
+    if Array.length held.dist > ns then held
+    else begin
+      let sc = alloc (ns + 1) in
+      Domain.DLS.set scratch_key sc;
+      sc
+    end
+  in
+  Array.fill sc.dist 0 ns init;
+  Array.fill sc.depth 0 (ns + 1) (-1);
+  Bytes.fill sc.queued 0 (ns + 1) '\000';
+  sc
+
+(* One run of [Krsp_graph.Bellman_ford]'s FIFO label correcting with
+   subtree disassembly (see there) over the states, from every state whose
+   [dist] is finite, minimising delay in place; the parent tree is
+   threaded through [next]/[prev] around the virtual root [ns]. It takes
+   the same steps as that search on the materialised state graph — seeds
+   queued in state order, out-arcs in ascending residual edge id — so
+   labels, parents and cycles are the same. [Some cycle] is a
+   negative-delay closed walk, its residual edges in walk order; [None]
+   leaves the shortest-path tree in [sc.dist]/[sc.parent]. *)
+let label_correct sp sc =
+  let ns = n_states sp in
   let w = sp.w and row = sp.row and e_id = sp.e_id in
   let e_dst = sp.e_dst and e_cost = sp.e_cost and e_delay = sp.e_delay in
-  let parent = Array.make ns (-1) in
-  let enqueues = Array.make ns 0 in
-  let in_queue = Bytes.make ns '\000' in
-  (* ring-buffer FIFO: a state is queued at most once at a time *)
-  let queue = Array.make ns 0 in
+  let dist = sc.dist and parent = sc.parent and next = sc.next and prev = sc.prev in
+  let depth = sc.depth and queue = sc.queue and queued = sc.queued in
   let head = ref 0 and len = ref 0 in
   let push s =
     let tail = !head + !len in
     queue.(if tail >= ns then tail - ns else tail) <- s;
     incr len;
-    Bytes.set in_queue s '\001';
-    enqueues.(s) <- enqueues.(s) + 1
+    Bytes.set queued s '\001'
   in
+  depth.(ns) <- 0;
+  let last = ref ns in
   for s = 0 to ns - 1 do
-    if dist.(s) <> max_int then push s
+    if dist.(s) <> max_int then begin
+      parent.(s) <- -1;
+      depth.(s) <- 1;
+      next.(!last) <- s;
+      prev.(s) <- !last;
+      last := s;
+      push s
+    end
   done;
-  let cycle = ref (-1) in
+  next.(!last) <- ns;
+  prev.(ns) <- !last;
+  let scans = ref 0 in
+  let cycle = ref None in
   (try
      while !len > 0 do
        let s = queue.(!head) in
        head := if !head + 1 = ns then 0 else !head + 1;
        decr len;
-       Bytes.set in_queue s '\000';
-       let ds = dist.(s) and u = s / w in
-       let cs = s - (u * w) in
-       for p = row.(u) to row.(u + 1) - 1 do
-         let c = cs + e_cost.(p) in
-         if c >= 0 && c < w then begin
-           let t = (e_dst.(p) * w) + c in
-           let nd = ds + e_delay.(p) in
-           if nd < dist.(t) then begin
-             dist.(t) <- nd;
-             parent.(t) <- e_id.(p);
-             if Bytes.get in_queue t = '\000' then begin
-               if enqueues.(t) > ns then begin
-                 cycle := t;
-                 raise Exit
+       Bytes.set queued s '\000';
+       if depth.(s) > 0 then begin
+         incr scans;
+         let ds = dist.(s) and u = s / w in
+         let cs = s - (u * w) in
+         for p = row.(u) to row.(u + 1) - 1 do
+           let c = cs + e_cost.(p) in
+           if c >= 0 && c < w then begin
+             let t = (e_dst.(p) * w) + c in
+             let nd = ds + e_delay.(p) in
+             if nd < dist.(t) then begin
+               let dt = depth.(t) in
+               if dt > 0 then begin
+                 (* cut t's subtree [t, x) out of the list *)
+                 let x = ref next.(t) in
+                 while depth.(!x) > dt && !x <> s do
+                   depth.(!x) <- -1;
+                   x := next.(!x)
+                 done;
+                 if t = s || (!x = s && depth.(s) > dt) then begin
+                   let rec collect acc v =
+                     if v = t then acc
+                     else
+                       let e = parent.(v) in
+                       collect (e :: acc) (pred sp v e)
+                   in
+                   cycle := Some (collect [ e_id.(p) ] s);
+                   raise_notrace Exit
+                 end;
+                 next.(prev.(t)) <- !x;
+                 prev.(!x) <- prev.(t)
                end;
-               push t
+               dist.(t) <- nd;
+               parent.(t) <- e_id.(p);
+               depth.(t) <- depth.(s) + 1;
+               let after = next.(s) in
+               next.(s) <- t;
+               prev.(t) <- s;
+               next.(t) <- after;
+               prev.(after) <- t;
+               if Bytes.get queued t = '\000' then push t
              end
            end
-         end
-       done
+         done
+       end
      done
    with Exit -> ());
-  if !cycle >= 0 then Error (extract_cycle sp parent !cycle) else Ok parent
+  Krsp_util.Metrics.incr c_scans ~by:!scans;
+  Krsp_util.Metrics.incr c_states ~by:ns;
+  !cycle
 
-(* A negative-delay cycle anywhere in the state space: SPFA from a virtual
-   super-source (every state starts at delay 0). *)
-let negative_cycle sp =
-  match spfa sp (Array.make (n_states sp) 0) with
-  | Ok _ -> None
-  | Error walk -> Some walk
+(* A negative-delay cycle anywhere in the state space: a run from a
+   virtual super-source (every state starts at delay 0). *)
+let negative_cycle sp = label_correct sp (scratch sp ~init:0)
 
 (* Min-delay walks from [(root, 0)] to every reachable [(root, c)], [c ≠ 0],
    folded for [c] ascending; nothing when the run meets a negative cycle
-   (phase A's business). *)
+   (phase A's business). [f] must not use the pool (see [scratch]). *)
 let fold_walks sp root ~init ~f =
-  let dist = Array.make (n_states sp) max_int in
+  let sc = scratch sp ~init:max_int in
   let s0 = state sp root 0 in
-  dist.(s0) <- 0;
-  match spfa sp dist with
-  | Error _ -> init
-  | Ok parent ->
+  sc.dist.(s0) <- 0;
+  match label_correct sp sc with
+  | Some _ -> init
+  | None ->
+    let dist = sc.dist and parent = sc.parent in
     let rec collect acc s =
       let e = parent.(s) in
       if e = -1 then acc else collect (e :: acc) (pred sp s e)
@@ -183,9 +247,8 @@ let evaluate res ctx cyc =
   | None -> None
   | Some kind -> Some { edges = cyc; cost; delay; kind }
 
-(* Decompose a closed residual walk (edge multiset, degree-balanced) into
-   simple cycles. *)
-let cycles_of_walk res walk_edges = Walk.decompose_cycles res.Residual.graph walk_edges
+(* Split a closed residual walk into simple cycles, in walk order. *)
+let cycles_of_walk res walk_edges = Walk.cycles_of_closed_walk res.Residual.graph walk_edges
 
 let candidates_of_walk res ctx walk_edges =
   List.filter_map (evaluate res ctx) (cycles_of_walk res walk_edges)
@@ -231,7 +294,7 @@ let search ?pool res ~ctx ~bound ~stop_early =
     in
     if parallel then begin
       (* Speculative fan-out in waves: a wave of roots runs its phase-B
-         searches concurrently (each SPFA allocates its own scratch; the
+         searches concurrently (each run uses its domain's scratch; the
          compacted space and the residual are shared strictly read-only),
          then the serial scan's early-stop is re-applied to the wave's
          results as a prefix rule — accumulate roots in id order up to and

@@ -9,15 +9,19 @@
     [u·W + c + B], [W = 2B + 1], and its out-arcs are read off the active
     residual edges of [u] on the fly, so a search holds O(n·W) labels and
     no state-graph edges. Each call compacts the active residual edges
-    once, in O(n + m), and runs queue-based Bellman–Ford (SPFA) over the
-    states. The engine:
+    once, in O(n + m), and runs FIFO label correcting with Tarjan's
+    subtree disassembly (Cherkassky & Goldberg 1999) over the states: the
+    parent tree is kept as a preorder list, an improved state's subtree is
+    detached, and a relaxation out of the improved state's own subtree
+    reports a negative cycle at once. The engine:
 
     + detects negative-delay cycles of the state space first; these project
       to zero-cost negative-delay residual cycles, i.e. type-0 bicameral
       cycles (and make min-delay walks ill-defined, so they must go first);
     + then, per root, computes minimum-delay walks to every exact cost,
-      decomposes each optimal closed walk into simple residual cycles, and
-      classifies every piece with {!Bicameral.classify}.
+      splits each optimal closed walk into simple residual cycles in walk
+      order ({!Krsp_graph.Walk.cycles_of_closed_walk}), and classifies
+      every piece with {!Bicameral.classify}.
 
     Only vertices incident to reversed path edges are tried as roots: a
     bicameral cycle needs a negative cost or delay somewhere, and only
@@ -47,12 +51,15 @@ val find :
     [~exhaustive:true] scans every root and returns the global best.
 
     Works on any residual — {!Residual.build} or {!Residual.of_arena} —
-    seeing only its active edges; memory is O(n·(2·bound + 1)) per
-    Bellman–Ford run.
+    seeing only its active edges. Memory is O(n·(2·bound + 1)) per domain:
+    labels, tree links and queue live in per-domain scratch that grows to
+    the largest state space the domain has searched and is reused by every
+    later run on it.
 
-    [pool], when wider than 1, fans the per-root phase-B Bellman–Ford runs
-    out across domains: the compacted residual edges are shared read-only,
-    each run allocates its own scratch, and the serial scan's early-stop is
+    [pool], when wider than 1, fans the per-root phase-B runs out across
+    domains: the compacted residual edges are shared read-only, each run
+    uses its domain's scratch (a run never calls the pool, so runs do not
+    interleave on one domain), and the serial scan's early-stop is
     replayed as a prefix rule over the per-root results — so
     the returned candidate is {e bit-identical} to the serial scan's at any
     pool width (see DESIGN.md §10 for the determinism contract). *)
@@ -72,3 +79,7 @@ val enumerate_raw :
     classification, as [(edges, cost, delay)]. Used by the naive-cancellation
     baseline of experiment E1 — the algorithm the paper's Figure 1 shows
     going wrong. *)
+
+val metrics : Krsp_util.Metrics.t
+(** The registry holding the search's work counters [search.scans] and
+    [search.states]; {!Krsp.metrics} is this registry. *)

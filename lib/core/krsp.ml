@@ -7,8 +7,9 @@ type engine = Dp | Lp
 (* Process-wide attribution of solver time to the three phases of one
    cancellation round. Histograms, not a profiler: cheap enough to stay on
    in production serving, precise enough to tell whether residual rebuild,
-   cycle search, or the ⊕-augmentation dominates a regression. *)
-let metrics = Metrics.create ()
+   cycle search, or the ⊕-augmentation dominates a regression. The
+   registry is the cycle search's, which records its work counters there. *)
+let metrics = Cycle_search_dp.metrics
 
 let h_residual = Metrics.histogram metrics "solver.residual_build_ms"
 let h_search = Metrics.histogram metrics "solver.cycle_search_ms"

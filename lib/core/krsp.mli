@@ -49,7 +49,10 @@ val metrics : Krsp_util.Metrics.t
     and [solver.spec_wasted] account for the parallel guess search's
     speculative attempts, [solver.repair_single_hits] /
     [solver.repair_single_fallbacks] for {!repair}'s incremental
-    single-event (Bhandari) path. Exported by krspd's [STATS].
+    single-event (Bhandari) path, and the DP cycle search's work counters
+    [search.scans] (states scanned) and [search.states] (n·(2B+1) per
+    label-correcting run) measure its work independently of the host (at
+    widths above 1 they include speculative searches). Exported by krspd's [STATS], SIGUSR1 and Prometheus.
     Domain-safe. *)
 
 val improve :

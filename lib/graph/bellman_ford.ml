@@ -5,68 +5,85 @@ type result =
   | Dist of { dist : int array; parent : int array }
   | Negative_cycle of Path.t
 
-(* Walk the parent chain from a vertex known to be on or downstream of a
-   negative cycle; after n hops we are inside the cycle, then collect edges
-   until the start vertex repeats. (Any cycle of the predecessor graph has
-   negative weight — Cherkassky & Goldberg, Lemma for labeling methods.) *)
-let extract_cycle g parent start =
-  let n = G.n g in
-  let v = ref start in
-  for _ = 1 to n do
-    let e = parent.(!v) in
-    assert (e >= 0);
-    v := G.src g e
-  done;
-  let cycle_start = !v in
-  let rec collect acc v =
-    let e = parent.(v) in
-    let u = G.src g e in
-    let acc = e :: acc in
-    if u = cycle_start then acc else collect acc u
-  in
-  collect [] cycle_start
-
-(* SPFA (queue-based Bellman-Ford) with the classic enqueue-count bound for
-   negative-cycle detection (a vertex re-entering the queue more than n
-   times lies downstream of a negative cycle). *)
+(* FIFO label correcting with Tarjan's subtree disassembly (Cherkassky &
+   Goldberg, "Negative-cycle detection algorithms", Math. Prog. 1999). The
+   parent tree is a preorder list threaded through [next]/[prev], circular
+   through a virtual root [n] whose children are the seeds; [depth.(v) < 0]
+   marks a vertex outside the tree. When [v] improves, its subtree is cut
+   out and every strict descendant detached: their labels are stale and
+   will improve again through [v], so a detached vertex is skipped when it
+   is popped. An improvement of [v] by an arc out of [v]'s own subtree
+   closes a negative cycle at once — the tree path from [v] plus that arc. *)
 let run_from g ~weight ~disabled dist =
   let view = G.freeze g in
   let n = G.n g in
   let parent = Array.make n (-1) in
+  let next = Array.make (n + 1) n and prev = Array.make (n + 1) n in
+  let depth = Array.make (n + 1) (-1) in
+  depth.(n) <- 0;
   let in_queue = Array.make n false in
-  let enqueues = Array.make n 0 in
   let q = Queue.create () in
+  let last = ref n in
   for v = 0 to n - 1 do
     if dist.(v) <> max_int then begin
+      depth.(v) <- 1;
+      next.(!last) <- v;
+      prev.(v) <- !last;
+      last := v;
       Queue.add v q;
-      in_queue.(v) <- true;
-      enqueues.(v) <- 1
+      in_queue.(v) <- true
     end
   done;
+  next.(!last) <- n;
+  prev.(n) <- !last;
   let cycle = ref None in
   (try
      while not (Queue.is_empty q) do
        let u = Queue.pop q in
        in_queue.(u) <- false;
-       let du = dist.(u) in
-       V.iter_out view u (fun e ->
-           if not (disabled e) then begin
-             let v = V.dst view e in
-             let nd = du + weight e in
-             if nd < dist.(v) then begin
-               dist.(v) <- nd;
-               parent.(v) <- e;
-               if not in_queue.(v) then begin
-                 enqueues.(v) <- enqueues.(v) + 1;
-                 if enqueues.(v) > n + 1 then begin
-                   cycle := Some (extract_cycle g parent v);
-                   raise Exit
+       if depth.(u) > 0 then begin
+         let du = dist.(u) in
+         V.iter_out view u (fun e ->
+             if not (disabled e) then begin
+               let v = V.dst view e in
+               let nd = du + weight e in
+               if nd < dist.(v) then begin
+                 let dv = depth.(v) in
+                 if dv > 0 then begin
+                   (* cut v's subtree [v, x) out of the list *)
+                   let x = ref next.(v) in
+                   while depth.(!x) > dv && !x <> u do
+                     depth.(!x) <- -1;
+                     x := next.(!x)
+                   done;
+                   if v = u || (!x = u && depth.(u) > dv) then begin
+                     let rec collect acc w =
+                       if w = v then acc
+                       else
+                         let pe = parent.(w) in
+                         collect (pe :: acc) (G.src g pe)
+                     in
+                     cycle := Some (collect [ e ] u);
+                     raise_notrace Exit
+                   end;
+                   next.(prev.(v)) <- !x;
+                   prev.(!x) <- prev.(v)
                  end;
-                 Queue.add v q;
-                 in_queue.(v) <- true
+                 dist.(v) <- nd;
+                 parent.(v) <- e;
+                 depth.(v) <- depth.(u) + 1;
+                 let after = next.(u) in
+                 next.(u) <- v;
+                 prev.(v) <- u;
+                 next.(v) <- after;
+                 prev.(after) <- v;
+                 if not in_queue.(v) then begin
+                   Queue.add v q;
+                   in_queue.(v) <- true
+                 end
                end
-             end
-           end)
+             end)
+       end
      done
    with Exit -> ());
   match !cycle with

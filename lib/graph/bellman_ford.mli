@@ -3,7 +3,18 @@
 
     Residual graphs (Definition 6 of the paper) negate costs and delays on
     reversed path edges, so every shortest-path computation on them needs a
-    negative-weight-capable engine. *)
+    negative-weight-capable engine.
+
+    The engine is FIFO label correcting with Tarjan's subtree disassembly
+    (Cherkassky & Goldberg, "Negative-cycle detection algorithms", 1999):
+    the parent tree is kept as a preorder list, an improved vertex's
+    descendants are detached and skipped when popped, and a relaxation
+    out of the improved vertex's own subtree closes a negative cycle,
+    reported at once as the tree path plus that arc. Seeds are queued in
+    vertex order and out-edges relaxed in frozen-CSR order, the same steps
+    [Krsp_core.Cycle_search_dp] takes over its implicit state space — the
+    tests check that search against this one run on the materialised
+    state graph. *)
 
 type result =
   | Dist of { dist : int array; parent : int array }

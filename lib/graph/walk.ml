@@ -92,6 +92,50 @@ let decompose_cycles g edges =
   drain ();
   !cycles
 
+(* Walk order: [pos.(v)] is the number of path edges in front of [v] while
+   [v] lies on the current simple path from the walk's start, [-1]
+   otherwise. Arriving at a vertex already on the path closes the edges
+   above it on the stack into one simple cycle. *)
+let cycles_of_closed_walk g walk =
+  match walk with
+  | [] -> []
+  | e0 :: _ ->
+    let pos = Array.make (G.n g) (-1) in
+    let start = G.src g e0 in
+    pos.(start) <- 0;
+    (* [stack]: path edges, newest first; [depth]: its length; [v]: its end *)
+    let rec go stack depth v cycles = function
+      | [] ->
+        if depth <> 0 || v <> start then
+          invalid_arg "Walk.cycles_of_closed_walk: walk is not closed";
+        List.rev cycles
+      | e :: rest ->
+        if G.src g e <> v then invalid_arg "Walk.cycles_of_closed_walk: edges do not chain";
+        let w = G.dst g e in
+        let at = pos.(w) in
+        if at < 0 then begin
+          pos.(w) <- depth + 1;
+          go (e :: stack) (depth + 1) w cycles rest
+        end
+        else begin
+          (* pop the [depth + 1 - at] edges from w's position up, [e] first;
+             consing them restores walk order *)
+          let rec pop k cyc stack =
+            if k = 0 then (cyc, stack)
+            else
+              match stack with
+              | x :: below ->
+                pos.(G.dst g x) <- -1;
+                pop (k - 1) (x :: cyc) below
+              | [] -> assert false
+          in
+          let cyc, stack = pop (depth + 1 - at) [] (e :: stack) in
+          pos.(w) <- at;
+          go stack at w (cyc :: cycles) rest
+        end
+    in
+    go [] 0 start [] walk
+
 let decompose_st g ~src ~dst ~k edges =
   let adj, balance = build_adjacency g edges in
   let bal v = Option.value ~default:0 (Hashtbl.find_opt balance v) in

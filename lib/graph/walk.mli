@@ -11,6 +11,19 @@ val decompose_cycles : Digraph.t -> Digraph.edge list -> Digraph.edge list list
     into vertex-simple directed cycles. Raises [Invalid_argument] if some
     vertex is unbalanced (in-degree ≠ out-degree within the multiset). *)
 
+val cycles_of_closed_walk : Digraph.t -> Digraph.edge list -> Digraph.edge list list
+(** [cycles_of_closed_walk g walk] splits a closed walk, given as its edges
+    in walk order, into vertex-simple directed cycles: walking it with the
+    current simple path on a stack, every return to a vertex on the stack
+    pops the edges above that vertex as one cycle (its edges in walk order,
+    starting at the revisited vertex). Cycles come out in the order they
+    close, so a vertex-simple walk comes back as one piece, itself. The
+    pieces partition the walk's edges (as a multiset: an edge id may
+    repeat). O(n + L) for a walk of L edges on [n] vertices, against
+    {!decompose_cycles}' hash tables. Raises [Invalid_argument] if
+    consecutive edges do not chain or the walk does not end where it
+    starts. *)
+
 val decompose_st :
   Digraph.t ->
   src:Digraph.vertex ->

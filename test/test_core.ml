@@ -203,7 +203,7 @@ let reference_search res ~ctx ~bound ~stop_early =
         Option.map
           (fun kind -> { Dp.edges = cyc; cost; delay; kind })
           (Bicameral.classify ctx ~cost ~delay))
-      (Krsp_graph.Walk.decompose_cycles rg walk)
+      (Krsp_graph.Walk.cycles_of_closed_walk rg walk)
   in
   let phase_a =
     match BF.negative_cycle p ~weight:(G.cost p) () with
@@ -301,6 +301,34 @@ let dp_matches_product_reference_prop =
                  && Dp.find res ~ctx ~bound ()
                     = best (reference_search res ~ctx ~bound ~stop_early:true))
                [ 1; 2; 5; 13 ])))
+
+(* A negative-delay cycle in the state space must cost the exhaustive scan
+   bounded work. The bypass 0 -> L against the reversed path L -> ... -> 0
+   is a zero-cost cycle of delay 1 - 5L, present at every cost offset, so
+   phase A finds it and every phase-B root reaches it. Subtree disassembly
+   reports it as soon as the tree would close it; an enqueue-count bound
+   waits for some state to be queued n·W times, about (n·W)^2 pops per
+   root. *)
+let test_dp_negative_cycle_work () =
+  let len = 10 and bound = 100 in
+  let g = G.create ~n:(len + 1) () in
+  let path = List.init len (fun i -> G.add_edge g ~src:i ~dst:(i + 1) ~cost:1 ~delay:5) in
+  ignore (G.add_edge g ~src:0 ~dst:len ~cost:len ~delay:1);
+  let res = Residual.build g ~paths:[ path ] in
+  let ctx = { Bicameral.delta_d = 0; delta_c = bound - len; cost_cap = bound } in
+  let scans = Krsp_util.Metrics.counter Krsp.metrics "search.scans"
+  and states = Krsp_util.Metrics.counter Krsp.metrics "search.states" in
+  let scans0 = Krsp_util.Metrics.value scans and states0 = Krsp_util.Metrics.value states in
+  let found = Dp.enumerate res ~ctx ~bound in
+  let scanned = Krsp_util.Metrics.value scans - scans0
+  and searched = Krsp_util.Metrics.value states - states0 in
+  Alcotest.(check bool)
+    "phase A reports the cycle" true
+    (List.exists (fun c -> c.Dp.cost = 0 && c.Dp.delay = 1 - (5 * len)) found);
+  (* phase A plus one phase-B run per root, n·W states each *)
+  Alcotest.(check int) "states searched" ((len + 2) * (len + 1) * ((2 * bound) + 1)) searched;
+  if scanned > 2 * searched then
+    Alcotest.failf "%d scans for %d states searched" scanned searched
 
 (* Proposition 7 as a property: applying any simple residual cycle to k
    disjoint paths yields k disjoint paths whose cost/delay shift by exactly
@@ -900,7 +928,11 @@ let suites =
         Alcotest.test_case "counts" `Quick test_layered_counts;
         layered_projection_prop
       ] );
-    ("engines", [ engines_agree_prop; dp_matches_product_reference_prop ]);
+    ( "engines",
+      [ engines_agree_prop; dp_matches_product_reference_prop;
+        Alcotest.test_case "negative-cycle search work is bounded" `Quick
+          test_dp_negative_cycle_work
+      ] );
     ( "krsp",
       [ Alcotest.test_case "diamond tight" `Quick test_krsp_diamond_tight;
         Alcotest.test_case "diamond loose" `Quick test_krsp_diamond_loose;

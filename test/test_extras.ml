@@ -107,7 +107,11 @@ let fw_matches_bf_prop =
          let n = 3 + X.int rng 5 in
          let g = random_graph rng ~n ~p:0.4 ~wmin:(-3) ~wmax:10 in
          match FW.run g ~weight:(G.cost g) () with
-         | FW.Negative_cycle -> BF.negative_cycle g ~weight:(G.cost g) () <> None
+         | FW.Negative_cycle -> (
+           (* the cycle Bellman–Ford reports is simple and negative *)
+           match BF.negative_cycle g ~weight:(G.cost g) () with
+           | Some c -> Path.is_simple_cycle g c && Path.cost g c < 0
+           | None -> false)
          | FW.Dist d ->
            BF.negative_cycle g ~weight:(G.cost g) () = None
            && List.for_all

@@ -719,6 +719,47 @@ let walk_decomposition_prop =
          List.sort compare out = List.sort compare !all_edges
          && List.for_all (fun c -> Path.is_simple_cycle g c) cycles))
 
+(* property: a closed walk — a random walk on a random digraph, closed by
+   riding a Hamiltonian ring back to its start, so vertices and edges
+   repeat — splits in walk order into simple cycles whose edges are the
+   walk's edges as a multiset, and a vertex-simple walk is one piece *)
+let closed_walk_split_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"walk-order split of a closed walk" ~count:200
+       QCheck2.Gen.(triple (int_range 2 9) (int_range 0 40) int)
+       (fun (n, steps, seed) ->
+         let rng = X.create ~seed in
+         let g = random_graph rng ~n ~p:0.3 ~wmin:0 ~wmax:0 in
+         let ring = Array.init n (fun u -> G.add_edge g ~src:u ~dst:((u + 1) mod n) ~cost:0 ~delay:0) in
+         let start = X.int rng n in
+         let walk = ref [] and v = ref start in
+         let step e =
+           walk := e :: !walk;
+           v := G.dst g e
+         in
+         for _ = 1 to steps do
+           let out = Array.of_list (G.out_edges g !v) in
+           step out.(X.int rng (Array.length out))
+         done;
+         while !v <> start || !walk = [] do
+           step ring.(!v)
+         done;
+         let walk = List.rev !walk in
+         let pieces = Walk.cycles_of_closed_walk g walk in
+         let simple_ring = List.init n (fun i -> ring.((start + i) mod n)) in
+         List.for_all (Path.is_simple_cycle g) pieces
+         && List.sort compare (List.concat pieces) = List.sort compare walk
+         && Walk.cycles_of_closed_walk g simple_ring = [ simple_ring ]))
+
+let test_walk_closed_walk_rejects_open () =
+  let g, e01, e13, _, _, _ = diamond () in
+  Alcotest.check_raises "open walk"
+    (Invalid_argument "Walk.cycles_of_closed_walk: walk is not closed") (fun () ->
+      ignore (Walk.cycles_of_closed_walk g [ e01; e13 ]));
+  Alcotest.check_raises "broken chain"
+    (Invalid_argument "Walk.cycles_of_closed_walk: edges do not chain") (fun () ->
+      ignore (Walk.cycles_of_closed_walk g [ e13; e01 ]))
+
 let suites =
   [ ( "digraph",
       [ Alcotest.test_case "basics" `Quick test_digraph_basics;
@@ -779,6 +820,9 @@ let suites =
         Alcotest.test_case "unbalanced rejected" `Quick test_walk_unbalanced_rejected;
         Alcotest.test_case "decompose st" `Quick test_walk_decompose_st;
         Alcotest.test_case "decompose st with cycle" `Quick test_walk_decompose_st_with_cycle;
-        walk_decomposition_prop
+        walk_decomposition_prop;
+        Alcotest.test_case "closed walk must close and chain" `Quick
+          test_walk_closed_walk_rejects_open;
+        closed_walk_split_prop
       ] )
   ]
